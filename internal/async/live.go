@@ -6,11 +6,13 @@ package async
 // cost from the cluster model, the live executor actually runs the
 // workload's Step functions on a fixed goroutine pool
 // (internal/workpool: per-worker sharded run queues + work stealing)
-// and *measures* costs as monotonic wall-clock deltas. The versioned
-// store, the staleness gate, and the adaptive controllers are reused
-// unchanged — they only ever see the Scheduler[D] contract and
-// simtime.Duration timestamps, which here hold real elapsed seconds
-// since the run started instead of virtual time.
+// and *measures* costs as monotonic wall-clock deltas. The partition
+// views, the versioned store, the staleness gate and input read
+// (view.go), and the adaptive controllers are the same code the
+// virtual-time executors run — they only ever see simtime.Duration
+// timestamps, which here hold real elapsed seconds since the run
+// started instead of virtual time. What live adds is its wait action:
+// parking on a wake heap or a gate-waiter list under its mutex.
 //
 // One piece of the cluster model is kept, in real time: publish
 // visibility. A publication becomes visible at
@@ -38,10 +40,13 @@ package async
 // Concurrency design. Every partition is in exactly one state —
 // runnable (queued or executing, at most one task in flight), timed
 // (parked in a wake heap), blocked (in a neighbor's gate-waiter list),
-// idle, or forced — and every transition happens under one engine
-// mutex. Workload compute and store publications run outside the
-// mutex; a single timer goroutine (the executor's second sanctioned
-// goroutine besides the pool) serves the wake heap. Publications reach
+// or settled (the view's idle or forced flag) — and every transition
+// happens under one engine mutex. Each wake path — the timer, a
+// reader's idle wake, a waiter release — hands the partition back from
+// exactly one of these states, so no partition is ever queued twice.
+// Workload compute and store publications run outside the mutex; a
+// single timer goroutine (the executor's second sanctioned goroutine
+// besides the pool) serves the wake heap. Publications reach
 // the store *before* the mutex section that wakes readers, and an
 // idling partition re-checks for unseen versions inside the same
 // locked section that parks it, so no wakeup can be lost. Wall-clock
@@ -56,7 +61,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
@@ -65,33 +69,13 @@ import (
 	"repro/internal/workpool"
 )
 
-// Live partition states; see the package comment in this file. All
-// state transitions happen under liveScheduler.mu.
-const (
-	liveRunnable = iota // queued in the pool or executing (one task in flight)
-	liveTimed           // parked in the wake heap until a known real time
-	liveBlocked         // parked in a neighbor's gate-waiter list
-	liveIdle            // quiescent with no unseen input (settled)
-	liveForced          // stopped by MaxSteps (settled)
-)
-
-// livePart is the live executor's per-partition bookkeeping. The
-// counter fields at the bottom are written only by the partition's own
-// task (partitions are single-flight) and folded into RunStats after
-// the pool has been closed, so they need no synchronization of their
-// own; the state-machine fields are guarded by liveScheduler.mu.
+// livePart is the live executor's per-partition bookkeeping: the
+// shared read state plus the wait accounting. Everything is guarded by
+// liveScheduler.mu, except version and steps, which only the
+// partition's own task writes (partitions are single-flight, and the
+// pool hand-off orders successive tasks).
 type livePart struct {
-	neighbors []int
-	readers   []int
-	consumed  []int // last version consumed, parallel to neighbors
-	cursors   []int // ReadAtFrom hints, parallel to neighbors
-
-	state       int
-	gateWaiters []int // partitions blocked until this one publishes or settles
-
-	version   int
-	steps     int
-	quiescent bool
+	*partView
 	// waitStart is the real time a gate wait began (-1 when none);
 	// waitMeasured marks the blocked-on-a-laggard case whose duration is
 	// only known at release (adapt.Controller.AddWaitTime).
@@ -101,34 +85,19 @@ type livePart struct {
 	// (the store's invariant) when a fast step outruns the previous
 	// publication's modeled network delay.
 	lastPubAt simtime.Duration
-
-	ops          int64
-	compute      simtime.Duration
-	publishes    int64
-	pushedBytes  int64
-	gateWaits    int64
-	gateWaitTime simtime.Duration
-	maxLead      int
 }
 
 // liveScheduler satisfies Scheduler[D] degenerately: the first Admit
 // call runs the whole concurrent execution to quiescence and reports
 // the event queue drained, so Drive proceeds straight to Finish. The
-// phase methods in between are never invoked.
+// phase methods in between are never invoked. The shared engine state
+// (run counters, controller, sampler) is written only under mu and
+// folded by Finish after the pool has been closed.
 type liveScheduler[D any] struct {
-	c        *cluster.Cluster
-	cfg      *cluster.Config
-	w        Workload[D]
-	opt      Options
-	maxSteps int
+	engine[D]
 	netScale float64
-	store    *Store[D]
-	ctrl     *adapt.Controller
-	needLag  bool
-	inbuf    [][]Snapshot[D]
 	parts    []*livePart
 	pool     *workpool.Pool[int]
-	rec      *trace.Recorder
 
 	start time.Time // monotonic run origin; all timestamps are offsets from it
 
@@ -145,44 +114,18 @@ type liveScheduler[D any] struct {
 	ran      bool
 	stopOnce sync.Once
 	timerWG  sync.WaitGroup
-	stats    *RunStats
-	totalOps int64
-
-	// Metrics sampling (Options.Series). The sampler tick rides the
-	// timed-wake heap with the out-of-band ID len(parts) — the heap's
-	// IDs are otherwise partition indices — on a real-time grid of
-	// sampleEvery seconds from the run origin. Unlike DES/parallel the
-	// live series is NOT deterministic (it observes real interleaving);
-	// Sample.Time is the grid time, Sample.Wall the measured wall
-	// offset. The counters below are updated in runPart's locked tail
-	// (lp.steps/lp.publishes are written outside the mutex and may not
-	// be read by the sampler) and read by sampleLocked; all are guarded
-	// by mu. resid caches per-partition Progressive residuals at step
-	// completion — the sampler must not call into workload state that a
-	// concurrent Step may be mutating.
-	series        *metrics.Series
-	prog          Progressive
-	sampleEvery   simtime.Duration
-	sampleTick    int64
-	sSteps        int64
-	sPubs         int64
-	resid         []float64
-	lastSample    metrics.Sample
-	seriesTicks   int64
-	seriesSamples int64
 }
 
 // newLiveScheduler validates the workload and options and builds the
 // engine: version 0 of every partition is published visible at time
 // zero, every partition starts runnable, and the pool is sized at
-// min(opt.Workers or GOMAXPROCS, partitions).
+// min(opt.Workers or GOMAXPROCS, partitions). The metrics sampler's
+// tick rides the timed-wake heap with the out-of-band ID len(parts) on
+// a real-time grid; unlike DES/parallel the live series is NOT
+// deterministic (it observes real interleaving).
 //
 //async:sched-root
 func newLiveScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (*liveScheduler[D], error) {
-	n := w.Parts()
-	if n <= 0 {
-		return nil, fmt.Errorf("async: workload has %d partitions", n)
-	}
 	cfg := c.Config()
 	if cfg.CrashMTTF > 0 {
 		return nil, fmt.Errorf("async: the live executor does not support the crash fault model (CrashMTTF %v); crash schedules and recovery pricing are virtual-time machinery — run DES or parallel", cfg.CrashMTTF)
@@ -190,60 +133,19 @@ func newLiveScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (*l
 	if opt.Checkpoint != nil && opt.Checkpoint != recovery.None() {
 		return nil, fmt.Errorf("async: the live executor does not support checkpoint policies (%v); run DES or parallel", opt.Checkpoint)
 	}
-	maxSteps := opt.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
 	s := &liveScheduler[D]{
-		c:         c,
-		cfg:       cfg,
-		w:         w,
-		opt:       opt,
-		maxSteps:  maxSteps,
 		netScale:  cfg.LiveNetScale,
-		store:     NewStore[D](n),
-		inbuf:     make([][]Snapshot[D], n),
-		parts:     make([]*livePart, n),
 		timerKick: make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
-		stats:     &RunStats{Converged: true},
 	}
-	for p := 0; p < n; p++ {
-		nbrs := w.Neighbors(p)
-		for _, q := range nbrs {
-			if q < 0 || q >= n || q == p {
-				return nil, fmt.Errorf("async: partition %d has invalid neighbor %d", p, q)
-			}
-		}
-		lp := &livePart{
-			neighbors: nbrs,
-			consumed:  make([]int, len(nbrs)),
-			cursors:   make([]int, len(nbrs)),
-			waitStart: -1,
-		}
-		for j := range lp.consumed {
-			lp.consumed[j] = -1
-		}
-		s.parts[p] = lp
-		s.inbuf[p] = make([]Snapshot[D], len(nbrs))
+	if _, err := s.setup(c, w, opt); err != nil {
+		return nil, err
 	}
-	for p, lp := range s.parts {
-		for _, q := range lp.neighbors {
-			s.parts[q].readers = append(s.parts[q].readers, p)
-		}
-	}
-	pol := opt.Adapt
-	if pol == nil {
-		pol = adapt.Fixed(opt.Staleness)
-	}
-	s.ctrl = adapt.NewController(pol, n)
-	s.needLag = s.ctrl.NeedsLag()
-	for p := range s.parts {
-		data, _ := w.Init(p)
-		if err := s.store.Publish(p, 0, 0, data); err != nil {
-			return nil, err
-		}
+	n := len(s.views)
+	s.parts = make([]*livePart, n)
+	for p, v := range s.views {
+		s.parts[p] = &livePart{partView: v, waitStart: -1}
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -253,18 +155,6 @@ func newLiveScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (*l
 		workers = n
 	}
 	s.pool = workpool.New(workers, s.runPart)
-	if opt.Series != nil {
-		s.series = opt.Series
-		s.sampleEvery = opt.Series.Interval()
-		if pw, ok := w.(Progressive); ok {
-			s.prog = pw
-			s.resid = make([]float64, n)
-			for p := range s.resid {
-				s.resid[p] = pw.Residual(p)
-			}
-		}
-	}
-	s.rec = opt.Trace
 	if rec := s.rec; rec != nil {
 		// Steal attribution: the hook runs on the stealing worker's
 		// goroutine before the item does; the wall stamp the recorder
@@ -310,7 +200,7 @@ func (s *liveScheduler[D]) Admit() (int, bool) {
 
 // runLive stamps the run origin, starts the timer goroutine, enqueues
 // every partition, and blocks until the run settles or fails, then
-// stops the pool so Finish can fold unsynchronized counters.
+// stops the pool so Finish reads a quiescent engine state.
 //
 //async:measured — stamps the monotonic run origin all measurements are offsets of.
 func (s *liveScheduler[D]) runLive() {
@@ -380,13 +270,13 @@ func (s *liveScheduler[D]) Advance(p int, out StepOutcome[D]) {}
 func (s *liveScheduler[D]) runPart(w, p int) {
 	lp := s.parts[p]
 	s.mu.Lock()
-	if s.runErr != nil || lp.state == liveForced {
+	if s.runErr != nil || lp.forced {
 		s.mu.Unlock()
 		return
 	}
 	if lp.waitStart >= 0 {
 		waited := s.now() - lp.waitStart
-		lp.gateWaitTime += waited
+		s.stats.GateWaitTime += waited
 		if lp.waitMeasured {
 			s.ctrl.AddWaitTime(p, waited)
 		}
@@ -397,23 +287,12 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 		s.mu.Unlock()
 		return // parked timed or blocked; a wake re-runs the gate
 	}
-	buf := s.inbuf[p]
 	t := s.now()
-	for j, q := range lp.neighbors {
-		snap, idx, ok := s.store.ReadAtFrom(q, t, lp.cursors[j])
-		if !ok {
-			s.failLocked(fmt.Errorf("async: partition %d invisible to %d at %v", q, p, t))
-			s.mu.Unlock()
-			return
-		}
-		lp.cursors[j] = idx
-		lp.consumed[j] = snap.Version
-		if qs := s.parts[q].state; qs != liveIdle && qs != liveForced {
-			if lead := lp.version - snap.Version; lead > lp.maxLead {
-				lp.maxLead = lead
-			}
-		}
-		buf[j] = snap
+	buf, err := s.readInputs(p, t)
+	if err != nil {
+		s.failLocked(err)
+		s.mu.Unlock()
+		return
 	}
 	s.mu.Unlock()
 
@@ -421,7 +300,6 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	t0 := time.Now()
 	out, err := runStep(s.w, p, lp.steps, buf)
 	dc := simtime.Duration(time.Since(t0).Seconds())
-	lp.compute += dc
 	if err != nil {
 		s.mu.Lock()
 		s.failLocked(err)
@@ -429,8 +307,6 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 		return
 	}
 	lp.steps++
-	lp.quiescent = out.Quiescent
-	lp.ops += out.Ops
 	s.rec.Emit(trace.KindStepEnd, p, lp.steps-1, t+dc, 0, 0, dc)
 
 	if out.Publish {
@@ -451,8 +327,6 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 			s.mu.Unlock()
 			return
 		}
-		lp.publishes++
-		lp.pushedBytes += out.Bytes
 		s.rec.Emit(trace.KindPublish, p, lp.steps-1, pubAt, int64(lp.version), out.Bytes, visAt-pubAt)
 	}
 
@@ -461,37 +335,28 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	if s.runErr != nil {
 		return
 	}
-	if s.series != nil {
-		// Mirror the step into the mutex-guarded sampling counters:
-		// lp.steps/lp.publishes above are written outside mu and may not
-		// be read by the sampler. The residual cache is refreshed here —
-		// p's step is complete and single-flight, so the read is safe.
-		s.sSteps++
-		if out.Publish {
-			s.sPubs++
-		}
-		if s.prog != nil {
-			s.resid[p] = s.prog.Residual(p)
-		}
+	lp.quiescent = out.Quiescent
+	s.stats.Steps++
+	s.stats.LiveComputeTime += dc
+	s.totalOps += out.Ops
+	if s.prog != nil {
+		// p's step is complete and single-flight, so the residual read
+		// is safe.
+		s.resid[p] = s.prog.Residual(p)
 	}
 	if out.Publish {
+		s.stats.Publishes++
+		s.stats.PushedBytes += out.Bytes
 		for _, r := range lp.readers {
-			if s.parts[r].state == liveIdle {
+			if rp := s.parts[r]; rp.idle {
+				rp.idle = false
 				s.settled--
 				s.parkOrRunLocked(r, lp.lastPubAt, -1)
 			}
 		}
 		s.releaseWaitersLocked(lp)
 	}
-	lag := 0
-	if s.needLag {
-		for j, q := range lp.neighbors {
-			if l := s.store.Latest(q) - lp.consumed[j]; l > lag {
-				lag = l
-			}
-		}
-	}
-	if s.ctrl.StepDone(p, out.Publish, lag) {
+	if s.stepDone(p, out.Publish) {
 		s.rec.Emit(trace.KindAdaptBound, p, lp.steps, s.now(), int64(s.ctrl.Bound(p)), 0, 0)
 	}
 	switch {
@@ -500,7 +365,7 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	case !out.Quiescent:
 		s.pool.SubmitLocal(w, p)
 	default:
-		if at, unseen := s.firstUnseenLocked(lp); unseen {
+		if at, unseen := firstUnseen(s.store, lp.partView); unseen {
 			s.parkOrRunLocked(p, at, w)
 		} else {
 			s.idleLocked(p)
@@ -508,75 +373,38 @@ func (s *liveScheduler[D]) runPart(w, p int) {
 	}
 }
 
-// gateLocked applies the staleness bound to p at the current real
-// time, mirroring the core's gateCheck: a version that exists but is
-// not yet visible parks p in the wake heap until its visibility time
+// gateLocked applies the shared staleness gate to p at the current
+// real time; the wait action is live's own. A version that exists but
+// is not yet visible parks p in the wake heap until its visibility time
 // (wait priced at booking); a version that does not exist yet blocks p
-// on the laggard neighbor (wait measured at release). Settled
-// neighbors impose no gate. Reports whether p was parked. Caller
-// holds s.mu.
+// on the laggard neighbor (wait measured at release). Reports whether p
+// was parked. Caller holds s.mu.
 //
 //async:measured — gate bookings run on pool workers; the engine mutex serializes the controller.
 func (s *liveScheduler[D]) gateLocked(p, bound int) bool {
 	lp := s.parts[p]
-	need := lp.version - bound
-	if need <= 0 {
+	t := s.now()
+	q, nb, wakeAt, wait := gateCheck(s.store, s.views, lp.partView, t, bound)
+	if !wait {
 		return false
 	}
-	t := s.now()
-	for j, q := range lp.neighbors {
-		qp := s.parts[q]
-		if qp.state == liveIdle || qp.state == liveForced {
-			continue
-		}
-		snap, idx, ok := s.store.ReadAtFrom(q, t, lp.cursors[j])
-		if ok {
-			lp.cursors[j] = idx
-			if snap.Version >= need {
-				continue
-			}
-		}
-		lp.gateWaits++
-		lp.waitStart = t
-		s.rec.Emit(trace.KindGateBegin, p, lp.steps, t, int64(q), int64(need), 0)
-		if s.store.Latest(q) >= need {
-			// Published but still inside its modeled network delay: the
-			// version exists, so WaitVersion returns immediately with its
-			// visibility time.
-			snap, _ := s.store.WaitVersion(q, need)
-			lp.waitMeasured = false
-			if s.ctrl.GateWait(p, snap.At-t) {
-				s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
-			}
-			s.parkTimedLocked(p, snap.At)
-			return true
-		}
-		lp.waitMeasured = true
-		if s.ctrl.GateWait(p, 0) {
-			s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
-		}
-		lp.state = liveBlocked
-		qp.gateWaiters = append(qp.gateWaiters, p)
-		return true
+	s.stats.GateWaits++
+	lp.waitStart = t
+	lp.waitMeasured = q >= 0
+	s.rec.Emit(trace.KindGateBegin, p, lp.steps, t, int64(nb), int64(lp.version-bound), 0)
+	var priced simtime.Duration
+	if q < 0 {
+		priced = wakeAt - t
 	}
-	return false
-}
-
-// firstUnseenLocked reports whether any neighbor has published a
-// version newer than what lp last consumed, and the earliest real time
-// such a version becomes visible. Caller holds s.mu.
-func (s *liveScheduler[D]) firstUnseenLocked(lp *livePart) (at simtime.Duration, unseen bool) {
-	for j, q := range lp.neighbors {
-		if s.store.Latest(q) > lp.consumed[j] {
-			// Latest > consumed: the version exists, never blocks.
-			snap, _ := s.store.WaitVersion(q, lp.consumed[j]+1)
-			if !unseen || snap.At < at {
-				at = snap.At
-				unseen = true
-			}
-		}
+	if s.ctrl.GateWait(p, priced) {
+		s.rec.Emit(trace.KindAdaptBound, p, lp.steps, t, int64(s.ctrl.Bound(p)), 0, 0)
 	}
-	return at, unseen
+	if q >= 0 {
+		s.parts[q].gateWaiters = append(s.parts[q].gateWaiters, p)
+	} else {
+		s.parkTimedLocked(p, wakeAt)
+	}
+	return true
 }
 
 // parkOrRunLocked makes p runnable now or parks it in the wake heap
@@ -584,7 +412,6 @@ func (s *liveScheduler[D]) firstUnseenLocked(lp *livePart) (at simtime.Duration,
 // worker's own queue. Caller holds s.mu.
 func (s *liveScheduler[D]) parkOrRunLocked(p int, at simtime.Duration, w int) {
 	if at <= s.now() {
-		s.parts[p].state = liveRunnable
 		if w >= 0 {
 			s.pool.SubmitLocal(w, p)
 		} else {
@@ -602,7 +429,6 @@ func (s *liveScheduler[D]) parkOrRunLocked(p int, at simtime.Duration, w int) {
 //
 //async:measured
 func (s *liveScheduler[D]) parkTimedLocked(p int, at simtime.Duration) {
-	s.parts[p].state = liveTimed
 	s.timed.Push(at, p)
 	select {
 	case s.timerKick <- struct{}{}:
@@ -627,7 +453,7 @@ func (s *liveScheduler[D]) releaseWaitersLocked(lp *livePart) {
 // partitions impose no gate). Caller holds s.mu.
 func (s *liveScheduler[D]) idleLocked(p int) {
 	lp := s.parts[p]
-	lp.state = liveIdle
+	lp.idle = true
 	s.settled++
 	s.releaseWaitersLocked(lp)
 	s.checkDoneLocked()
@@ -639,7 +465,7 @@ func (s *liveScheduler[D]) idleLocked(p int) {
 // partitions impose no gate). Caller holds s.mu.
 func (s *liveScheduler[D]) forceLocked(p int) {
 	lp := s.parts[p]
-	lp.state = liveForced
+	lp.forced = true
 	s.settled++
 	s.store.Seal(p)
 	s.releaseWaitersLocked(lp)
@@ -674,62 +500,14 @@ func (s *liveScheduler[D]) closeDoneLocked() {
 	}
 }
 
-// sampleLocked records one time-series sample at grid time at. Caller
-// holds s.mu, which guards every input: the sampling counters, the
-// residual cache, gate-wait sums (written under mu in runPart's locked
-// head), consumed cursors, and the controller (Store.Latest and the
-// pool gauges are safely concurrent on their own). Ticks are numbered
-// setup 0, interior 1..N, final N+1, like the virtual-time executors.
+// sampleLocked records one time-series sample at grid time at, stamped
+// with the measured wall offset and the pool gauges. Caller holds s.mu,
+// which guards every engine input the sample reads (Store.Latest and
+// the pool gauges are safely concurrent on their own).
 //
 //async:measured — stamps Sample.Wall; recorded only, never branched on.
 func (s *liveScheduler[D]) sampleLocked(at simtime.Duration) {
-	smp := metrics.Sample{Tick: s.sampleTick, Time: at, Wall: float64(s.now()), Residual: -1}
-	if s.prog != nil {
-		smp.Residual = 0
-		for _, r := range s.resid {
-			if r > smp.Residual {
-				smp.Residual = r
-			}
-			smp.ResidualSum += r
-		}
-	}
-	smp.Steps = s.sSteps
-	smp.DeltaSteps = smp.Steps - s.lastSample.Steps
-	smp.Publishes = s.sPubs
-	smp.DeltaPublishes = smp.Publishes - s.lastSample.Publishes
-	for _, lp := range s.parts {
-		smp.GateWait += lp.gateWaitTime
-	}
-	smp.DeltaGateWait = smp.GateWait - s.lastSample.GateWait
-	boundSum := 0
-	for p, lp := range s.parts {
-		smp.StoreVersions += int64(s.store.Latest(p))
-		b := s.ctrl.Signal(p).Bound
-		if p == 0 || b < smp.BoundMin {
-			smp.BoundMin = b
-		}
-		if p == 0 || b > smp.BoundMax {
-			smp.BoundMax = b
-		}
-		boundSum += b
-		for j, q := range lp.neighbors {
-			lag := s.store.Latest(q) - lp.consumed[j]
-			if lag < 0 {
-				lag = 0
-			}
-			if lag > smp.LagMax {
-				smp.LagMax = lag
-			}
-			smp.LagHist[metrics.LagBucket(lag)]++
-		}
-	}
-	smp.BoundMean = float64(boundSum) / float64(len(s.parts))
-	smp.QueueDepth = s.pool.Queued()
-	smp.Steals = s.pool.Steals()
-	s.series.Record(smp)
-	s.seriesSamples++
-	s.lastSample = smp
-	s.sampleTick++
+	s.recordSample(metrics.Sample{Time: at, Wall: float64(s.now()), QueueDepth: s.pool.Queued(), Steals: s.pool.Steals()})
 }
 
 // timerLoop serves the wake heap: it sleeps until the earliest parked
@@ -764,14 +542,13 @@ func (s *liveScheduler[D]) timerLoop() {
 				// grid. The run's end stops the chain; the final boundary
 				// sample comes from Finish at endAt.
 				if s.runErr == nil && !s.doneClosed && s.series != nil {
-					s.seriesTicks++
+					s.stats.SeriesTicks++
 					s.sampleLocked(ev.At)
 					s.timed.Push(ev.At+s.sampleEvery, len(s.parts))
 				}
 				continue
 			}
-			if s.runErr == nil && s.parts[ev.ID].state == liveTimed {
-				s.parts[ev.ID].state = liveRunnable
+			if s.runErr == nil {
 				s.pool.Submit(ev.ID)
 			}
 		}
@@ -800,10 +577,11 @@ func (s *liveScheduler[D]) timerLoop() {
 	}
 }
 
-// Finish folds the per-partition counters (quiescent since the pool
-// closed) into the run's stats and the cluster's metrics, and advances
-// the cluster clock by the measured makespan — in measured-cost mode
-// the simulated clock tracks real elapsed time. See Scheduler.
+// Finish folds the run into its stats and the cluster's metrics, and
+// advances the cluster clock by the measured makespan — in
+// measured-cost mode the simulated clock tracks real elapsed time. The
+// pool and timer are stopped, so the engine state is quiescent. See
+// Scheduler.
 //
 //async:sched-only
 func (s *liveScheduler[D]) Finish() (*RunStats, error) {
@@ -816,57 +594,14 @@ func (s *liveScheduler[D]) Finish() (*RunStats, error) {
 	if s.settled != len(s.parts) {
 		return nil, fmt.Errorf("async: executor bug: live run ended with %d of %d partitions settled", s.settled, len(s.parts))
 	}
-	for p := range s.parts {
-		s.store.Seal(p)
-	}
 	if s.series != nil {
-		// Final boundary sample at the measured makespan. The pool and
-		// timer are stopped, so the mutex is uncontended; it is taken for
-		// the memory edge to the sampler counters.
+		// Final boundary sample at the measured makespan.
 		s.mu.Lock()
 		s.sampleLocked(s.endAt)
 		s.mu.Unlock()
 	}
-	stats := s.stats
-	n := len(s.parts)
-	stats.PerWorkerSteps = make([]int, n)
-	for p, lp := range s.parts {
-		stats.PerWorkerSteps[p] = lp.steps
-		stats.Steps += int64(lp.steps)
-		stats.Publishes += lp.publishes
-		stats.PushedBytes += lp.pushedBytes
-		stats.GateWaits += lp.gateWaits
-		stats.GateWaitTime += lp.gateWaitTime
-		stats.LiveComputeTime += lp.compute
-		if lp.maxLead > stats.MaxLead {
-			stats.MaxLead = lp.maxLead
-		}
-		if lp.state == liveForced || !lp.quiescent {
-			stats.Converged = false
-		}
-		s.totalOps += lp.ops
-	}
-	stats.Duration = s.endAt
-	stats.MeanSteps = float64(stats.Steps) / float64(n)
-	stats.LiveSteals = s.pool.Steals()
-	stats.AdaptRaises = s.ctrl.Raises()
-	stats.AdaptCuts = s.ctrl.Cuts()
-	stats.StalenessMean = s.ctrl.StalenessMean()
-	stats.StalenessMax = s.ctrl.StalenessMax()
-	stats.SeriesTicks = s.seriesTicks
-	stats.SeriesSamples = s.seriesSamples
-
-	s.c.Account(func(m *cluster.Metrics) {
-		m.AsyncSteps += stats.Steps
-		m.AsyncPublishes += stats.Publishes
-		m.AsyncPushedBytes += stats.PushedBytes
-		m.AsyncGateWaits += stats.GateWaits
-		m.AsyncAdaptRaises += stats.AdaptRaises
-		m.AsyncAdaptCuts += stats.AdaptCuts
-		m.AsyncLiveSteps += stats.Steps
-		m.AsyncLiveSteals += stats.LiveSteals
-		m.ComputeOps += s.totalOps
-	})
-	s.c.Clock().Advance(stats.Duration)
+	s.stats.LiveSteals = s.pool.Steals()
+	stats := s.finish(s.endAt)
+	s.c.Account(func(m *cluster.Metrics) { m.AsyncLiveSteps += stats.Steps })
 	return stats, nil
 }

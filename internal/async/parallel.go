@@ -301,7 +301,7 @@ func (s *parallelScheduler[D]) Execute(p int) (StepOutcome[D], error) {
 		return StepOutcome[D]{}, fmt.Errorf("async: executor bug: partition %d speculated step %d, replaying step %d", p, sp.step, st.steps)
 	}
 	for j := range st.neighbors {
-		snap, err := s.consumeInput(p, j)
+		snap, err := s.consumeInput(p, j, st.clock)
 		if err != nil {
 			return StepOutcome[D]{}, err
 		}

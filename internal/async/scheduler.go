@@ -16,19 +16,25 @@
 //     workers run ahead until the bound forces them to let laggards
 //     catch up.
 //
-// Execution is a deterministic discrete-event simulation: real user
-// compute runs for every step, but ordering and cost come from the
-// virtual clock (package simtime) and the cluster cost model (package
-// cluster), so runs replay identically for a fixed configuration.
+// Three executors implement the Scheduler contract. DES (des.go) is a
+// deterministic discrete-event simulation: real user compute runs for
+// every step, but ordering and cost come from the virtual clock
+// (package simtime) and the cluster cost model (package cluster), so
+// runs replay identically for a fixed configuration. Parallel
+// (parallel.go) drives the same virtual-time core but pre-executes
+// provably independent steps on real goroutines using dependency-aware
+// admission (only the publications of the partitions a step actually
+// reads can invalidate it), producing virtual-time results identical to
+// DES. Live (live.go) runs the compute on a work-stealing pool and
+// measures its costs by wall clock; DES is its correctness oracle.
 //
-// The scheduling core is mode-agnostic (Scheduler); two executors
-// implement it. DES (des.go) runs every step inline on the scheduling
-// goroutine — the original sequential discrete-event mode. Parallel
-// (parallel.go) pre-executes provably independent steps on real
-// goroutines using dependency-aware admission (only the publications of
-// the partitions a step actually reads can invalidate it), overlapping
-// worker compute on real cores while producing virtual-time results
-// identical to DES.
+// All three share one staleness-gate and visibility rule over one
+// per-partition read state (view.go): the gate check, the
+// earliest-unseen-version scan, the canonical input read with its
+// staleness-lead accounting, the publish-lag signal, the sampler and
+// the stats fold. Each executor adds only its wait action — a
+// virtual-time reschedule or block in the core, a wake-heap park or
+// block under a mutex in live.
 //
 // The package is the heart of the deterministic engine core, and its
 // contracts are machine-checked by cmd/asynclint: no wall-clock reads,
@@ -133,12 +139,13 @@ type Options struct {
 	// Series, when non-nil, records the run's fixed-interval
 	// time-series (internal/metrics): residual-vs-time, staleness
 	// occupancy, gate-wait accumulation. Samples are taken on the
-	// series' tick interval by sampler events riding the scheduler's
-	// event heap in virtual time (a real timer under Live). Sampling
-	// is inert, exactly like Trace: sampler events never touch the
-	// step-event accounting, so RunStats (apart from the
-	// SeriesTicks/SeriesSamples counters) and final workload state are
-	// bit-identical with Series set or nil
+	// series' tick interval: under DES and parallel by a virtual-time
+	// tick chain kept off the event heap (Admit fires every due tick
+	// before popping the next event), under Live by ticks on the wake
+	// heap's real-time grid. Sampling is inert, exactly like Trace:
+	// sampler ticks never touch the step events, so RunStats (apart
+	// from the SeriesTicks/SeriesSamples counters) and final workload
+	// state are bit-identical with Series set or nil
 	// (asynctest.CheckSeriesInert), and a DES and a parallel run of
 	// the same configuration record byte-identical series.
 	Series *metrics.Series
@@ -167,8 +174,8 @@ type StepOutcome[D any] struct {
 }
 
 // Workload adapts one algorithm to the asynchronous runtime. This is the
-// common iterate-until-converged contract all three workloads (PageRank,
-// SSSP, K-Means) implement; the engine is oblivious to what D holds.
+// common iterate-until-converged contract all four workloads (PageRank,
+// SSSP, K-Means, CC) implement; the engine is oblivious to what D holds.
 //
 // Step must be a deterministic function of (p, step, inputs) and state
 // that only partition p's own steps mutate, and it must not retain the
@@ -347,11 +354,14 @@ type RunStats struct {
 //
 //	for Admit() → Gate() → Execute() → Publish() → Advance(); then Finish().
 //
-// Both executors share one core implementation of the bookkeeping phases
-// (workerState, staleness gate, pricing, wake-on-publish); they differ
-// only in how Execute maps admitted steps onto OS resources. That keeps
-// the deterministic event order — and therefore every stochastic draw
-// and virtual-time result — identical across executors.
+// The two virtual-time executors (DES and parallel) share one core
+// implementation of the bookkeeping phases (pricing, wake-on-publish,
+// the crash model); they differ only in how Execute maps admitted steps
+// onto OS resources. That keeps the deterministic event order — and
+// therefore every stochastic draw and virtual-time result — identical
+// across them. The live executor implements the contract degenerately
+// (its Admit runs the whole concurrent execution); all three share the
+// staleness gate and visibility rule of view.go.
 //
 // Every phase method is //async:sched-only: the phases mutate
 // unsynchronized scheduling state and must stay on the single
@@ -400,8 +410,10 @@ type Scheduler[D any] interface {
 
 // Run executes the workload to global quiescence on the given simulated
 // cluster, advancing its clock by the run's duration. The executor in
-// opt chooses between the sequential DES and the wall-clock-parallel
-// strategy; both produce identical virtual-time results.
+// opt chooses the sequential DES, the speculating parallel executor
+// (virtual-time results identical to DES), or the live executor
+// (measured costs, not deterministic); all three apply the same
+// staleness gate.
 //
 //async:sched-root
 func Run[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, error) {
@@ -419,8 +431,9 @@ func Run[D any](c *cluster.Cluster, w Workload[D], opt Options) (*RunStats, erro
 func NewScheduler[D any](c *cluster.Cluster, w Workload[D], opt Options) (Scheduler[D], error) {
 	if opt.Executor == Live {
 		// The live executor measures costs instead of drawing them and
-		// owns its own concurrent bookkeeping; it shares the store, gate
-		// semantics, and controllers but not the virtual-time core.
+		// owns its own concurrent wait actions; it shares the engine
+		// state and the gate/visibility rule but not the virtual-time
+		// core.
 		return newLiveScheduler(c, w, opt)
 	}
 	k, err := newCore(c, w, opt)
@@ -461,52 +474,27 @@ func Drive[D any](s Scheduler[D]) (*RunStats, error) {
 	return s.Finish()
 }
 
-// workerState is the core's per-partition bookkeeping.
+// workerState is the core's per-partition bookkeeping: the shared read
+// state plus the worker's virtual clock and recovery journal.
 type workerState struct {
-	clock     simtime.Duration // the worker's local virtual clock
-	steps     int
-	version   int // publication counter; version 0 is the initial state
-	neighbors []int
-	readers   []int // partitions that read this one (reverse-dependency index)
-	consumed  []int // last version consumed, parallel to neighbors
-	// cursors caches, per neighbor, the history index of the last
-	// snapshot this worker read (Store.ReadAtFrom). Worker clocks only
-	// advance, so the cached cursor turns every visibility lookup into an
-	// O(1) amortized forward scan instead of a binary search.
-	cursors   []int
-	idle      bool
-	forced    bool // stopped by MaxSteps
-	quiescent bool // last outcome's report
-	// gateWaiters lists workers blocked until this partition publishes a
-	// version (or goes idle).
-	gateWaiters []int
+	*partView
+	clock simtime.Duration // the worker's local virtual clock
 	// log is the worker's recovery journal (last checkpoint + steps
 	// since); nil when the crash fault model is inert, so the crash-free
 	// hot path carries no journaling cost.
 	log *recovery.Log
 }
 
-// core holds the shared bookkeeping both executors drive: worker states,
-// the versioned store, the event heap, pricing, and stats. All core
-// methods run on the single scheduling goroutine; only Workload.Step may
-// be offloaded (see parallel.go).
+// core is the virtual-time half of the runtime that the DES and the
+// parallel executor drive: on top of the shared engine state it keeps
+// the worker clocks, the event heap, model pricing, and the crash fault
+// model. All core methods run on the single scheduling goroutine; only
+// Workload.Step may be offloaded (see parallel.go).
 type core[D any] struct {
-	c        *cluster.Cluster
-	cfg      *cluster.Config
-	w        Workload[D]
-	opt      Options
-	maxSteps int
-	store    *Store[D]
-	workers  []*workerState
-	heap     simtime.EventHeap
-	stats    *RunStats
-	blocked  int
-	totalOps int64
-
-	// inbuf[p] is partition p's reusable snapshot buffer for inline step
-	// execution; allocated once at setup so the hot loop is allocation
-	// free. Step implementations must not retain it past the call.
-	inbuf [][]Snapshot[D]
+	engine[D]
+	workers []*workerState
+	heap    simtime.EventHeap
+	blocked int
 
 	// Pending-event mirror: each worker has at most one event in the
 	// heap; pending[p]/pendingAt[p] track it so the parallel executor's
@@ -543,44 +531,26 @@ type core[D any] struct {
 	err        error
 	onCrash    func(p int)
 
-	// Adaptive staleness control (internal/adapt). The controller owns
-	// each worker's effective bound; the core consults it at gate
-	// bookings and step boundaries — always on the scheduling goroutine,
-	// in event order, and only while processing that worker's own
-	// phases, which is what keeps dispatched speculations and their
-	// canonical gates reading the same bound. adaptCost prices one
-	// bound change onto the worker's critical path; needLag caches
-	// whether the policy wants the per-step publish-lag scan.
-	ctrl      *adapt.Controller
+	// adaptCost prices one staleness-bound change onto the worker's
+	// critical path. The controller is consulted at gate bookings and
+	// step boundaries — always on the scheduling goroutine, in event
+	// order, and only while processing that worker's own phases, which
+	// is what keeps dispatched speculations and their canonical gates
+	// reading the same bound.
 	adaptCost simtime.Duration
-	needLag   bool
 
-	// rec is the optional structured-event recorder (Options.Trace).
-	// Hooks call it unconditionally: a nil recorder is a single branch.
-	rec *trace.Recorder
-
-	// Time-series sampler (Options.Series; nil = sampling off).
-	// Sampler ticks deliberately do NOT ride the event heap: the
-	// parallel executor's admission frontier is the heap head
-	// (speculate peeks it), so tick entries there would perturb
-	// speculation decisions and break inertness. Instead sampleAt
-	// holds the next tick's virtual time and Admit fires every due
-	// tick before popping an event — without touching stepEvents or
-	// the heap, so the canonical event sequence is bit-identical with
-	// or without a sampler on both executors. prog is the workload's
-	// Progressive view (nil when it has none) and resid the
-	// per-partition residual cache, refreshed at noteStep — the
+	// sampleAt holds the next sampler tick's virtual time. Sampler ticks
+	// deliberately do NOT ride the event heap: the parallel executor's
+	// admission frontier is the heap head (speculate peeks it), so tick
+	// entries there would perturb speculation decisions and break
+	// inertness. Instead Admit fires every due tick before popping an
+	// event — without touching stepEvents or the heap, so the canonical
+	// event sequence is bit-identical with or without a sampler on both
+	// executors. The residual cache is refreshed at noteStep — the
 	// canonical step boundary — so a parallel run's sampler reads the
 	// same values DES would even while speculation runs workload steps
-	// early. lastSample carries the previous sample's cumulative
-	// counters for the delta fields.
-	series      *metrics.Series
-	prog        Progressive
-	resid       []float64
-	sampleEvery simtime.Duration
-	sampleAt    simtime.Duration
-	sampleTick  int64
-	lastSample  metrics.Sample
+	// early.
+	sampleAt simtime.Duration
 }
 
 // newCore validates the workload and performs startup: version 0 of
@@ -591,62 +561,20 @@ type core[D any] struct {
 //
 //async:sched-root
 func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], error) {
-	n := w.Parts()
-	if n <= 0 {
-		return nil, fmt.Errorf("async: workload has %d partitions", n)
+	k := &core[D]{}
+	inputBytes, err := k.setup(c, w, opt)
+	if err != nil {
+		return nil, err
 	}
-	maxSteps := opt.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
+	n := len(k.views)
+	k.workers = make([]*workerState, n)
+	for p, v := range k.views {
+		k.workers[p] = &workerState{partView: v}
 	}
-	k := &core[D]{
-		c:         c,
-		cfg:       c.Config(),
-		w:         w,
-		opt:       opt,
-		maxSteps:  maxSteps,
-		store:     NewStore[D](n),
-		workers:   make([]*workerState, n),
-		stats:     &RunStats{Converged: true},
-		inbuf:     make([][]Snapshot[D], n),
-		pending:   make([]bool, n),
-		pendingAt: make([]simtime.Duration, n),
-		inDirty:   make([]bool, n),
-		rec:       opt.Trace,
-	}
-	for p := 0; p < n; p++ {
-		nbrs := w.Neighbors(p)
-		for _, q := range nbrs {
-			if q < 0 || q >= n || q == p {
-				return nil, fmt.Errorf("async: partition %d has invalid neighbor %d", p, q)
-			}
-		}
-		k.workers[p] = &workerState{
-			neighbors: nbrs,
-			consumed:  make([]int, len(nbrs)),
-			cursors:   make([]int, len(nbrs)),
-		}
-		k.inbuf[p] = make([]Snapshot[D], len(nbrs))
-		for j := range k.workers[p].consumed {
-			k.workers[p].consumed[j] = -1
-		}
-	}
-	for p, st := range k.workers {
-		for _, q := range st.neighbors {
-			k.workers[q].readers = append(k.workers[q].readers, p)
-		}
-	}
-
-	// Staleness controller setup: a nil policy is the static bound —
-	// adapt.Fixed is the identity controller, so the default path is
-	// bit-identical to the pre-controller engine.
-	pol := opt.Adapt
-	if pol == nil {
-		pol = adapt.Fixed(opt.Staleness)
-	}
-	k.ctrl = adapt.NewController(pol, n)
+	k.pending = make([]bool, n)
+	k.pendingAt = make([]simtime.Duration, n)
+	k.inDirty = make([]bool, n)
 	k.adaptCost = k.cfg.AdaptCost
-	k.needLag = k.ctrl.NeedsLag()
 
 	// Crash fault model setup. The model is active when the cluster
 	// schedules crashes or a checkpoint policy is set; either requires
@@ -666,11 +594,7 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 	}
 
 	for p, st := range k.workers {
-		data, bytes := w.Init(p)
-		if err := k.store.Publish(p, 0, 0, data); err != nil {
-			return nil, err
-		}
-		start := k.cfg.TaskOverhead + c.DFSReadCost(bytes, true)
+		start := k.cfg.TaskOverhead + c.DFSReadCost(inputBytes[p], true)
 		start = simtime.Duration(float64(start) * c.StragglerFactor())
 		st.clock = k.cfg.JobOverhead + start
 		k.schedule(p, st.clock)
@@ -688,22 +612,13 @@ func newCore[D any](c *cluster.Cluster, w Workload[D], opt Options) (*core[D], e
 		}
 	}
 
-	// Time-series sampler setup: record the run-start sample inline at
-	// time zero (version 0 of every partition is already visible) and
-	// arm the first interior tick. The tick chain lives in sampleAt,
-	// not on the heap — see the sampler field comment.
-	if opt.Series != nil {
-		k.series = opt.Series
-		k.sampleEvery = opt.Series.Interval()
-		if pw, ok := w.(Progressive); ok {
-			k.prog = pw
-			k.resid = make([]float64, n)
-			for p := range k.resid {
-				k.resid[p] = pw.Residual(p)
-			}
-		}
-		k.recordSample(0, 0)
-		k.sampleAt = k.sampleEvery // first interior tick
+	// Time-series sampler: record the run-start sample inline at time
+	// zero (version 0 of every partition is already visible) and arm the
+	// first interior tick. The tick chain lives in sampleAt, not on the
+	// heap — see the field comment.
+	if k.series != nil {
+		k.recordSample(metrics.Sample{})
+		k.sampleAt = k.sampleEvery
 	}
 	return k, nil
 }
@@ -909,75 +824,18 @@ func (k *core[D]) scheduleCrash(p int) {
 // the next tick on the fixed grid. The chain lives entirely in
 // sampleAt — the heap, stepEvents, the pending mirror and the
 // speculation worklist are untouched: the sampler can observe the run
-// but never perturb it. Once the run drains (stepEvents hits zero),
-// Admit returns before the tick check, so residual ticks simply never
-// fire — the final boundary sample comes from Finish instead.
+// but never perturb it. Every quantity a sample reads is maintained in
+// event order on the scheduling goroutine, which is why a DES and a
+// parallel run sample identical values at identical ticks. Once the run
+// drains (stepEvents hits zero), Admit returns before the tick check,
+// so residual ticks simply never fire — the final boundary sample comes
+// from Finish instead.
 //
 //async:sched-only
 func (k *core[D]) handleSample(at simtime.Duration) {
 	k.stats.SeriesTicks++
-	k.sampleTick++
-	k.recordSample(k.sampleTick, at)
+	k.recordSample(metrics.Sample{Time: at})
 	k.sampleAt = at + k.sampleEvery
-}
-
-// recordSample reads the engine's canonical state into one Sample and
-// appends it to the series. Every quantity read here is maintained in
-// event order on the scheduling goroutine — run counters, consumed
-// versions, store heads, controller bounds, the noteStep residual
-// cache — which is exactly why a DES and a parallel run sample
-// identical values at identical ticks. Speculation-only state
-// (cursors, in-flight step results) is deliberately not sampled: it
-// advances in wall-clock order and would differ between executors.
-//
-//async:sched-only
-func (k *core[D]) recordSample(tick int64, at simtime.Duration) {
-	smp := metrics.Sample{
-		Tick:     tick,
-		Time:     at,
-		Residual: -1,
-	}
-	if k.prog != nil {
-		smp.Residual = 0
-		for _, r := range k.resid {
-			if r > smp.Residual {
-				smp.Residual = r
-			}
-			smp.ResidualSum += r
-		}
-	}
-	smp.Steps = k.stats.Steps
-	smp.DeltaSteps = smp.Steps - k.lastSample.Steps
-	smp.Publishes = k.stats.Publishes
-	smp.DeltaPublishes = smp.Publishes - k.lastSample.Publishes
-	smp.GateWait = k.stats.GateWaitTime
-	smp.DeltaGateWait = smp.GateWait - k.lastSample.GateWait
-	boundSum := 0
-	for p, st := range k.workers {
-		smp.StoreVersions += int64(k.store.Latest(p))
-		b := k.ctrl.Signal(p).Bound
-		if p == 0 || b < smp.BoundMin {
-			smp.BoundMin = b
-		}
-		if p == 0 || b > smp.BoundMax {
-			smp.BoundMax = b
-		}
-		boundSum += b
-		for j, q := range st.neighbors {
-			lag := k.store.Latest(q) - st.consumed[j]
-			if lag < 0 {
-				lag = 0
-			}
-			if lag > smp.LagMax {
-				smp.LagMax = lag
-			}
-			smp.LagHist[metrics.LagBucket(lag)]++
-		}
-	}
-	smp.BoundMean = float64(boundSum) / float64(len(k.workers))
-	k.series.Record(smp)
-	k.stats.SeriesSamples++
-	k.lastSample = smp
 }
 
 // Gate applies the staleness bound; see Scheduler. With bound S(p) —
@@ -998,7 +856,7 @@ func (k *core[D]) Gate(p int) bool {
 	if bound < 0 {
 		return true
 	}
-	q, nb, wakeAt, wait := k.gateCheck(st, st.clock, bound)
+	q, nb, wakeAt, wait := gateCheck(k.store, k.views, st.partView, st.clock, bound)
 	if !wait {
 		return true
 	}
@@ -1035,48 +893,6 @@ func (k *core[D]) Gate(p int) bool {
 	return false
 }
 
-// consumeInput performs the canonical, event-ordered read of partition
-// p's j-th neighbor at p's clock: it advances the read cursor, records
-// the consumed version, and accounts the staleness lead.
-//
-//async:sched-only
-func (k *core[D]) consumeInput(p, j int) (Snapshot[D], error) {
-	st := k.workers[p]
-	q := st.neighbors[j]
-	snap, idx, ok := k.store.ReadAtFrom(q, st.clock, st.cursors[j])
-	if !ok {
-		return snap, fmt.Errorf("async: partition %d invisible to %d at %v", q, p, st.clock)
-	}
-	st.cursors[j] = idx
-	st.consumed[j] = snap.Version
-	// Lead is only meaningful against active neighbors: an idle
-	// partition's newest version IS its final state, so reading it at
-	// any age reads the freshest truth.
-	if !k.workers[q].idle && !k.workers[q].forced {
-		if lead := st.version - snap.Version; lead > k.stats.MaxLead {
-			k.stats.MaxLead = lead
-		}
-	}
-	return snap, nil
-}
-
-// readInputs reads the snapshots visible at p's clock into p's reusable
-// input buffer and records consumption and staleness-lead accounting.
-//
-//async:sched-only
-func (k *core[D]) readInputs(p int) ([]Snapshot[D], error) {
-	st := k.workers[p]
-	buf := k.inbuf[p]
-	for j := range st.neighbors {
-		snap, err := k.consumeInput(p, j)
-		if err != nil {
-			return nil, err
-		}
-		buf[j] = snap
-	}
-	return buf, nil
-}
-
 // noteStep records a completed step in the worker and run counters.
 // It is the canonical step boundary on both virtual-time executors
 // (inline execution and speculated-consume alike reach it in event
@@ -1109,7 +925,7 @@ func (k *core[D]) noteStep(p int, out StepOutcome[D]) {
 //async:sched-only
 func (k *core[D]) Execute(p int) (StepOutcome[D], error) {
 	st := k.workers[p]
-	inputs, err := k.readInputs(p)
+	inputs, err := k.readInputs(p, st.clock)
 	if err != nil {
 		return StepOutcome[D]{}, err
 	}
@@ -1182,26 +998,15 @@ func (k *core[D]) Publish(p int, out StepOutcome[D]) error {
 // adaptStep feeds the completed (and priced, published,
 // waiter-released, possibly checkpointed) step into the staleness
 // controller at the step boundary, charging a bound change to the
-// worker's critical path. The publish-lag scan — the largest number of
-// published-but-unconsumed versions across the partitions p reads, the
-// drift policy's signal — runs only for policies that want it, so the
-// fixed and aimd hot paths pay no per-step neighbor loop. Latest is
-// read on the scheduling goroutine after this step's own publication,
-// a point both executors reach with identical store contents, so the
-// signal (and every decision derived from it) is executor-independent.
+// worker's critical path. The publish-lag signal is read on the
+// scheduling goroutine after this step's own publication, a point both
+// executors reach with identical store contents, so the signal (and
+// every decision derived from it) is executor-independent.
 //
 //async:sched-only
 func (k *core[D]) adaptStep(p int, published bool) {
-	st := k.workers[p]
-	lag := 0
-	if k.needLag {
-		for j, q := range st.neighbors {
-			if l := k.store.Latest(q) - st.consumed[j]; l > lag {
-				lag = l
-			}
-		}
-	}
-	if k.ctrl.StepDone(p, published, lag) {
+	if k.stepDone(p, published) {
+		st := k.workers[p]
 		st.clock += k.adaptCost
 		k.rec.Emit(trace.KindAdaptBound, p, st.steps, st.clock, int64(k.ctrl.Bound(p)), 0, 0)
 	}
@@ -1240,7 +1045,6 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 	switch {
 	case st.steps >= k.maxSteps:
 		st.forced = true
-		k.stats.Converged = false
 		// Seal the partition in the store: it will never publish again,
 		// so any (external) WaitVersion caller blocked on a future
 		// version must wake and observe the failure instead of hanging.
@@ -1252,7 +1056,7 @@ func (k *core[D]) Advance(p int, out StepOutcome[D]) {
 	case !out.Quiescent:
 		k.schedule(p, st.clock)
 	default:
-		if at, unseen := firstUnseen(k.store, st); unseen {
+		if at, unseen := firstUnseen(k.store, st.partView); unseen {
 			// Fresher input already exists; consume it once it is visible
 			// on p's clock.
 			if at < st.clock {
@@ -1280,55 +1084,21 @@ func (k *core[D]) Finish() (*RunStats, error) {
 	if k.blocked != 0 {
 		return nil, fmt.Errorf("async: %d workers still gate-blocked at drain", k.blocked)
 	}
-	// The run is over: no partition publishes again. Seal them all so
-	// any straggling external WaitVersion caller wakes instead of
-	// deadlocking.
-	for p := range k.workers {
-		k.store.Seal(p)
-	}
-	stats := k.stats
-	n := len(k.workers)
-	stats.PerWorkerSteps = make([]int, n)
 	var latest simtime.Duration
-	for p, st := range k.workers {
-		stats.PerWorkerSteps[p] = st.steps
+	for _, st := range k.workers {
 		if st.clock > latest {
 			latest = st.clock
 		}
-		if !st.quiescent && !st.forced {
-			stats.Converged = false
-		}
 	}
-	stats.Duration = latest
-	stats.MeanSteps = float64(stats.Steps) / float64(n)
 	if k.series != nil {
 		// Final boundary sample at the run's end, whether or not it
 		// lands on the tick grid: the convergence curve always ends at
 		// the converged state. Monotone by construction — the last
-		// popped tick precedes the last step event, which bounds
-		// Duration from below.
-		k.sampleTick++
-		k.recordSample(k.sampleTick, stats.Duration)
+		// popped tick precedes the last step event, which bounds the
+		// duration from below.
+		k.recordSample(metrics.Sample{Time: latest})
 	}
-	stats.AdaptRaises = k.ctrl.Raises()
-	stats.AdaptCuts = k.ctrl.Cuts()
-	stats.StalenessMean = k.ctrl.StalenessMean()
-	stats.StalenessMax = k.ctrl.StalenessMax()
-
-	k.c.Account(func(m *cluster.Metrics) {
-		m.AsyncSteps += stats.Steps
-		m.AsyncPublishes += stats.Publishes
-		m.AsyncPushedBytes += stats.PushedBytes
-		m.AsyncGateWaits += stats.GateWaits
-		m.AsyncCrashes += stats.Crashes
-		m.AsyncRecoveries += stats.Recoveries
-		m.AsyncCheckpoints += stats.Checkpoints
-		m.AsyncAdaptRaises += stats.AdaptRaises
-		m.AsyncAdaptCuts += stats.AdaptCuts
-		m.ComputeOps += k.totalOps
-	})
-	k.c.Clock().Advance(stats.Duration)
-	return stats, nil
+	return k.finish(latest), nil
 }
 
 // releaseGateWaiters reschedules every worker blocked on st (after st
@@ -1357,66 +1127,6 @@ func (k *core[D]) releaseGateWaiters(p int) int {
 	}
 	st.gateWaiters = st.gateWaiters[:0]
 	return released
-}
-
-// gateCheck evaluates the staleness bound for st at time t. wait=false
-// means the step may run. Otherwise either q >= 0 (the needed version of
-// q does not exist yet; block until q publishes or idles) or q = -1 and
-// wakeAt holds the virtual time the needed version becomes visible. nb
-// is the neighbor the gate parked on in either case (equal to q when
-// q >= 0) — the attribution the trace layer records. Reads go through
-// the per-neighbor cursors: gate reads and input reads for one worker
-// happen at the same non-decreasing clock, so they share the cursor
-// cache.
-//
-//async:sched-only
-func (k *core[D]) gateCheck(st *workerState, t simtime.Duration, bound int) (q, nb int, wakeAt simtime.Duration, wait bool) {
-	need := st.version - bound
-	if need <= 0 {
-		return -1, -1, 0, false
-	}
-	for j, nb := range st.neighbors {
-		other := k.workers[nb]
-		if other.idle || other.forced {
-			continue // settled neighbors impose no gate
-		}
-		snap, idx, ok := k.store.ReadAtFrom(nb, t, st.cursors[j])
-		if ok {
-			st.cursors[j] = idx
-			if snap.Version >= need {
-				continue
-			}
-		}
-		if k.store.Latest(nb) >= need {
-			// Published but not yet visible: the publication time is in
-			// t's virtual future; wait exactly until then. The version
-			// exists, so this WaitVersion never blocks or fails.
-			snap, _ := k.store.WaitVersion(nb, need)
-			return -1, nb, snap.At, true
-		}
-		return nb, nb, 0, true
-	}
-	return -1, -1, 0, false
-}
-
-// firstUnseen reports whether any neighbor has published a version newer
-// than what st last consumed, and the earliest virtual time such a
-// version becomes visible.
-//
-//async:sched-only
-func firstUnseen[D any](store *Store[D], st *workerState) (at simtime.Duration, unseen bool) {
-	for j, q := range st.neighbors {
-		if store.Latest(q) > st.consumed[j] {
-			// Latest > consumed, so the version exists and this never
-			// blocks or fails.
-			snap, _ := store.WaitVersion(q, st.consumed[j]+1)
-			if !unseen || snap.At < at {
-				at = snap.At
-				unseen = true
-			}
-		}
-	}
-	return at, unseen
 }
 
 // runStep invokes the workload step, converting panics in user code into

@@ -145,9 +145,22 @@ func TestStoreShardedProperty(t *testing.T) {
 			for at := simtime.Duration(0); at < versions; at += simtime.Duration(r + 1) {
 				for p := 0; p < parts; p++ {
 					vt := at * simtime.Duration(p+1) * simtime.Millisecond
+					// The searching read goes first: the store may grow
+					// between the two reads, and growth only moves
+					// visibility forward, so the cursor read may be newer
+					// but never older, and never beyond vt.
+					chk, chkOK := s.ReadAt(p, vt)
 					snap, idx, ok := s.ReadAtFrom(p, vt, cursors[p])
+					if chkOK && (!ok || snap.Version < chk.Version) {
+						t.Errorf("cursor/binary-search disagree on p%d at %v: v%d vs v%d (ok=%v)",
+							p, vt, snap.Version, chk.Version, ok)
+					}
 					if !ok {
 						continue // p's version 0 not published yet
+					}
+					if snap.At > vt {
+						t.Errorf("cursor read on p%d at %v returned v%d visible only at %v",
+							p, vt, snap.Version, snap.At)
 					}
 					cursors[p] = idx
 					if snap.Version < lastV[p] || snap.At < lastAt[p] {
@@ -157,10 +170,6 @@ func TestStoreShardedProperty(t *testing.T) {
 					lastV[p], lastAt[p] = snap.Version, snap.At
 					if snap.Data != p*10000+snap.Version {
 						t.Errorf("torn read p%d: v%d data %d", p, snap.Version, snap.Data)
-					}
-					if chk, ok2 := s.ReadAt(p, vt); !ok2 || chk.Version != snap.Version {
-						t.Errorf("cursor/binary-search disagree on p%d at %v: v%d vs v%d (ok=%v)",
-							p, vt, snap.Version, chk.Version, ok2)
 					}
 				}
 			}
