@@ -193,6 +193,57 @@ func TestThreadedLMapMatchesSerial(t *testing.T) {
 	}
 }
 
+// A threaded lmap must read the parent's hashtable: each cell's count
+// lives only in the hashtable, so lmap advances it from lc.Value.
+// Shards that saw a copy of the hashtable's index but not its values
+// (or an empty hashtable) would emit different records than serial.
+func TestThreadedLMapReadsHashtable(t *testing.T) {
+	const cells, target = 200, 5
+	run := func(threads int) []int {
+		spec := &LocalSpec[*counterPart, int, int64, int]{
+			Elements: func(p *counterPart) []int {
+				elems := make([]int, len(p.cells))
+				for i := range elems {
+					elems[i] = i
+				}
+				return elems
+			},
+			// Cell i counts up by one per local iteration from an
+			// offset of i%3, as read back from the hashtable.
+			LMap: func(lc *LocalContext[int64, int], p *counterPart, i int) {
+				v, ok := lc.Value(int64(i))
+				if !ok {
+					v = i % 3
+				}
+				if v < p.target {
+					lc.EmitLocalIntermediate(int64(i), v+1)
+				}
+			},
+			LReduce: func(lc *LocalContext[int64, int], p *counterPart, key int64, values []int) {
+				lc.EmitLocal(key, values[0])
+			},
+			MaxLocalIters: 2 * target,
+			Threads:       threads,
+		}
+		part := &counterPart{cells: make([]int, cells), target: target}
+		res, _ := runCounting(t, spec, part)
+		out := make([]int, cells)
+		for _, kv := range res.Output {
+			out[kv.Key] = kv.Value
+		}
+		return out
+	}
+	serial, threaded := run(1), run(8)
+	for i := range serial {
+		if serial[i] != target {
+			t.Fatalf("serial cell %d = %d, want %d", i, serial[i], target)
+		}
+		if threaded[i] != serial[i] {
+			t.Fatalf("cell %d: threads=8 gave %d, threads=1 gave %d", i, threaded[i], serial[i])
+		}
+	}
+}
+
 func TestThreadPoolDiscountsOps(t *testing.T) {
 	if got := discountOps(1000, 1); got != 1000 {
 		t.Fatalf("threads=1 discount = %d", got)

@@ -33,24 +33,24 @@ type LocalContext[K comparable, V any] struct {
 	task *mapreduce.TaskContext[K, V]
 
 	// Intermediate buffer (EmitLocalIntermediate), grouped lazily.
-	// Every key ever emitted gets a stable bucket index (bucketOf) whose
-	// value slice persists across local iterations: clearIntermediate
-	// truncates used buckets to length 0 but keeps their capacity, so
-	// steady-state iterations append into already-sized backing arrays
-	// instead of regrowing a fresh map[K][]V each sweep. interKeys and
-	// interIdx record this iteration's keys in first-emitted order.
-	interKeys []K
-	interIdx  []int32
-	bucketOf  map[K]int32
+	// Every key ever emitted gets a stable bucket (its bucketIdx slot)
+	// whose value slice persists across local iterations:
+	// clearIntermediate truncates used buckets to length 0 but keeps
+	// their capacity, so steady-state iterations append into
+	// already-sized backing arrays. interIdx lists this iteration's
+	// buckets in first-emitted order.
+	bucketIdx mapreduce.KeyIndex[K]
 	buckets   [][]V
+	interIdx  []int32
 
 	// shards caches the per-worker lmap contexts for a threaded lmap
 	// phase so their buckets survive across local iterations too.
 	shards []*LocalContext[K, V]
 
-	// state is the paper's hashtable of local results (EmitLocal).
-	stateKeys []K
-	state     map[K]V
+	// state is the paper's hashtable of local results (EmitLocal). A
+	// threaded lmap phase's shards point at their parent's, which is
+	// read-only while lmap runs.
+	state *hashtable[K, V]
 
 	// localIter is the completed local iteration count.
 	localIter int
@@ -62,28 +62,35 @@ type LocalContext[K comparable, V any] struct {
 	lmapShard bool
 }
 
+// hashtable holds EmitLocal's entries: keys in first-emitted order in
+// idx, vals[i] the current value of key idx.Keys()[i].
+type hashtable[K comparable, V any] struct {
+	idx  mapreduce.KeyIndex[K]
+	vals []V
+}
+
 func newLocalContext[K comparable, V any](tc *mapreduce.TaskContext[K, V]) *LocalContext[K, V] {
-	return &LocalContext[K, V]{
-		task:     tc,
-		bucketOf: make(map[K]int32),
-		state:    make(map[K]V),
-	}
+	return &LocalContext[K, V]{task: tc, state: &hashtable[K, V]{}}
 }
 
 // EmitLocalIntermediate buffers one record for the next local reduce,
 // the paper's EmitLocalIntermediate().
 func (lc *LocalContext[K, V]) EmitLocalIntermediate(key K, value V) {
-	b, ok := lc.bucketOf[key]
-	if !ok {
-		b = int32(len(lc.buckets))
-		lc.bucketOf[key] = b
+	b := lc.bucket(key)
+	lc.buckets[b] = append(lc.buckets[b], value)
+}
+
+// bucket returns key's intermediate bucket, recording it as used this
+// iteration if it is still empty.
+func (lc *LocalContext[K, V]) bucket(key K) int32 {
+	b, added := lc.bucketIdx.Slot(key)
+	if added {
 		lc.buckets = append(lc.buckets, nil)
 	}
 	if len(lc.buckets[b]) == 0 {
-		lc.interKeys = append(lc.interKeys, key)
 		lc.interIdx = append(lc.interIdx, b)
 	}
-	lc.buckets[b] = append(lc.buckets[b], value)
+	return b
 }
 
 // EmitLocal stores one record into the local hashtable, the paper's
@@ -93,30 +100,35 @@ func (lc *LocalContext[K, V]) EmitLocal(key K, value V) {
 	if lc.lmapShard {
 		panic("core: EmitLocal called from lmap; hashtable writes belong to lreduce")
 	}
-	if _, ok := lc.state[key]; !ok {
-		lc.stateKeys = append(lc.stateKeys, key)
+	st := lc.state
+	if s, added := st.idx.Slot(key); added {
+		st.vals = append(st.vals, value)
+	} else {
+		st.vals[s] = value
 	}
-	lc.state[key] = value
 }
 
 // Value reads the current hashtable entry for key, allowing lmap in a
 // later local iteration to consume earlier lreduce output ("otherwise,
 // lmap receives it as input", §IV).
 func (lc *LocalContext[K, V]) Value(key K) (V, bool) {
-	v, ok := lc.state[key]
-	return v, ok
+	if s, ok := lc.state.idx.Lookup(key); ok {
+		return lc.state.vals[s], true
+	}
+	var zero V
+	return zero, false
 }
 
 // State invokes fn for every hashtable entry in deterministic
 // (first-emitted) order.
 func (lc *LocalContext[K, V]) State(fn func(K, V)) {
-	for _, k := range lc.stateKeys {
-		fn(k, lc.state[k])
+	for i, k := range lc.state.idx.Keys() {
+		fn(k, lc.state.vals[i])
 	}
 }
 
 // Len returns the number of entries in the local hashtable.
-func (lc *LocalContext[K, V]) Len() int { return len(lc.state) }
+func (lc *LocalContext[K, V]) Len() int { return len(lc.state.vals) }
 
 // LocalIterations returns the number of completed local iterations.
 func (lc *LocalContext[K, V]) LocalIterations() int { return lc.localIter }
@@ -127,10 +139,10 @@ func (lc *LocalContext[K, V]) Charge(ops int64) { lc.ops += ops }
 // resetState clears the hashtable (see
 // LocalSpec.ResetStatePerIteration).
 func (lc *LocalContext[K, V]) resetState() {
-	for k := range lc.state {
-		delete(lc.state, k)
-	}
-	lc.stateKeys = lc.stateKeys[:0]
+	st := lc.state
+	st.idx.Reset()
+	clear(st.vals)
+	st.vals = st.vals[:0]
 }
 
 // clearIntermediate resets the intermediate buffer between local
@@ -142,7 +154,6 @@ func (lc *LocalContext[K, V]) clearIntermediate() {
 	for _, b := range lc.interIdx {
 		lc.buckets[b] = lc.buckets[b][:0]
 	}
-	lc.interKeys = lc.interKeys[:0]
 	lc.interIdx = lc.interIdx[:0]
 }
 
@@ -261,9 +272,7 @@ func BuildGMap[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]) m
 			spec.Output(tc, part, lc)
 			return
 		}
-		for _, k := range lc.stateKeys {
-			tc.Emit(k, lc.state[k])
-		}
+		lc.State(tc.Emit)
 	}
 }
 
@@ -305,7 +314,6 @@ func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]
 	for len(lc.shards) < n {
 		lc.shards = append(lc.shards, &LocalContext[K, V]{
 			task:      lc.task,
-			bucketOf:  make(map[K]int32),
 			state:     lc.state, // shared read-only view for Value()
 			lmapShard: true,
 		})
@@ -340,18 +348,10 @@ func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]
 		}
 	}
 	for _, sh := range shards {
-		for i, k := range sh.interKeys {
-			b, ok := lc.bucketOf[k]
-			if !ok {
-				b = int32(len(lc.buckets))
-				lc.bucketOf[k] = b
-				lc.buckets = append(lc.buckets, nil)
-			}
-			if len(lc.buckets[b]) == 0 {
-				lc.interKeys = append(lc.interKeys, k)
-				lc.interIdx = append(lc.interIdx, b)
-			}
-			lc.buckets[b] = append(lc.buckets[b], sh.buckets[sh.interIdx[i]]...)
+		keys := sh.bucketIdx.Keys()
+		for _, sb := range sh.interIdx {
+			b := lc.bucket(keys[sb])
+			lc.buckets[b] = append(lc.buckets[b], sh.buckets[sb]...)
 		}
 		lc.ops += sh.ops
 	}
@@ -360,7 +360,8 @@ func runLMapPhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V]
 // runLReducePhase folds every intermediate key group through LReduce in
 // deterministic first-emitted order.
 func runLReducePhase[P any, E any, K comparable, V any](spec *LocalSpec[P, E, K, V], lc *LocalContext[K, V], part P) {
-	for i, k := range lc.interKeys {
-		spec.LReduce(lc, part, k, lc.buckets[lc.interIdx[i]])
+	keys := lc.bucketIdx.Keys()
+	for _, b := range lc.interIdx {
+		spec.LReduce(lc, part, keys[b], lc.buckets[b])
 	}
 }

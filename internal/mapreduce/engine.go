@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -154,16 +155,16 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	})
 
 	if mapOnly {
-		for _, out := range mapOuts {
-			res.Output = append(res.Output, out...)
-		}
+		res.Output = slices.Concat(mapOuts...)
 		finish(e, res, counters)
 		return res, nil
 	}
 
 	// --- shuffle ------------------------------------------------------
+	// Count each reduce partition's records first, then carve every
+	// partition from one slab of exactly the shuffle's size.
 	nReduce := job.NumReduces
-	parts := make([][]KV[K, V], nReduce)
+	counts := make([]int, nReduce)
 	var shuffleRecords, shuffleBytes int64
 	for _, out := range mapOuts {
 		for _, kv := range out {
@@ -171,9 +172,22 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 			if p < 0 || p >= nReduce {
 				return nil, fmt.Errorf("mapreduce: job %q partitioner returned %d for %d partitions", job.Name, p, nReduce)
 			}
-			parts[p] = append(parts[p], kv)
+			counts[p]++
 			shuffleRecords++
 			shuffleBytes += job.RecordSize(kv.Key, kv.Value)
+		}
+	}
+	slab := make([]KV[K, V], shuffleRecords)
+	parts := make([][]KV[K, V], nReduce)
+	off := 0
+	for p, n := range counts {
+		parts[p] = slab[off : off : off+n]
+		off += n
+	}
+	for _, out := range mapOuts {
+		for _, kv := range out {
+			p := job.Partition(kv.Key, nReduce)
+			parts[p] = append(parts[p], kv)
 		}
 	}
 	res.ShuffleRecords = shuffleRecords
@@ -189,10 +203,12 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 	redOuts := make([][]KV[K, V], nReduce)
 	redStats := make([]taskStats, nReduce)
 	err = e.forEachTask(nReduce, func(p int) error {
-		ctx := &TaskContext[K, V]{}
 		g := job.getGrouper()
 		g.group(parts[p])
-		for i, k := range g.keys {
+		// Reducers emit one record per key as a rule; sizing the output
+		// for that spares its regrowth.
+		ctx := &TaskContext[K, V]{out: make([]KV[K, V], 0, len(g.idx.Keys()))}
+		for i, k := range g.idx.Keys() {
 			job.Reduce(ctx, k, g.values(i))
 		}
 		job.putGrouper(g)
@@ -249,9 +265,7 @@ func Run[P any, K comparable, V any](e *Engine, job *Job[P, K, V], splits []Spli
 		}
 	})
 
-	for _, out := range redOuts {
-		res.Output = append(res.Output, out...)
-	}
+	res.Output = slices.Concat(redOuts...)
 	finish(e, res, counters)
 	return res, nil
 }
@@ -304,41 +318,35 @@ func sortCost(cfg *cluster.Config, n int64) simtime.Duration {
 	return simtime.Duration(float64(n*int64(log2))) * cfg.SortCostPerRecord
 }
 
-// grouper groups records by key into a reusable CSR-style layout:
-// keys in first-seen order (deterministic without an ordering on K),
-// all values in one slab, offs[i] marking the end of group i. Reusing
-// one grouper across tasks and iterations turns the former
-// fresh-map[K][]V-per-reduce allocation pattern into three amortized
-// slices and a cleared map.
+// grouper groups records by key into a reusable CSR-style layout: keys
+// in first-seen order (deterministic without an ordering on K) held by a
+// KeyIndex, group i's key at idx.Keys()[i], all values in one slab,
+// offs[i] marking the end of group i.
+// Reusing one grouper across tasks and iterations keeps the reduce path
+// to amortized slices; node-id keys skip hashing altogether.
 type grouper[K comparable, V any] struct {
-	keys []K
-	idx  map[K]int32
-	offs []int32
-	slab []V
+	idx   KeyIndex[K]
+	slots []int32 // record i's group
+	offs  []int32
+	slab  []V
 }
 
 // group rebuilds the grouping for records. Two passes: the first
-// assigns group ids in first-seen order and counts group sizes, the
-// second scatters values through offs used as moving cursors, leaving
-// offs[i] = end of group i. Value order within a group is record order,
-// matching the old map-based groupByKey exactly.
+// assigns group ids in first-seen order, remembers each record's group
+// and counts group sizes; the second scatters values through offs used
+// as moving cursors, leaving offs[i] = end of group i. Value order
+// within a group is record order.
 func (g *grouper[K, V]) group(records []KV[K, V]) {
-	if g.idx == nil {
-		g.idx = make(map[K]int32, len(records)/2+1)
-	} else {
-		clear(g.idx)
-	}
-	g.keys = g.keys[:0]
+	g.idx.Reset()
 	g.offs = g.offs[:0]
+	g.slots = g.slots[:0]
 	for _, kv := range records {
-		gi, ok := g.idx[kv.Key]
-		if !ok {
-			gi = int32(len(g.keys))
-			g.idx[kv.Key] = gi
-			g.keys = append(g.keys, kv.Key)
+		gi, added := g.idx.Slot(kv.Key)
+		if added {
 			g.offs = append(g.offs, 0)
 		}
 		g.offs[gi]++
+		g.slots = append(g.slots, gi)
 	}
 	var sum int32
 	for i, c := range g.offs {
@@ -350,8 +358,8 @@ func (g *grouper[K, V]) group(records []KV[K, V]) {
 	} else {
 		g.slab = g.slab[:sum]
 	}
-	for _, kv := range records {
-		gi := g.idx[kv.Key]
+	for i, kv := range records {
+		gi := g.slots[i]
 		g.slab[g.offs[gi]] = kv.Value
 		g.offs[gi]++
 	}
@@ -374,7 +382,7 @@ func combineTaskOutput[P any, K comparable, V any](job *Job[P, K, V], ctx *TaskC
 	g := job.getGrouper()
 	out := ctx.out[:0]
 	g.group(ctx.out)
-	for i, k := range g.keys {
+	for i, k := range g.idx.Keys() {
 		for _, v := range job.Combine(k, g.values(i)) {
 			out = append(out, KV[K, V]{Key: k, Value: v})
 		}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -288,8 +289,8 @@ func TestGroupByKeyPreservesFirstSeenOrder(t *testing.T) {
 	}
 	var g grouper[string, int]
 	g.group(records)
-	if len(g.keys) != 3 || g.keys[0] != "b" || g.keys[1] != "a" || g.keys[2] != "c" {
-		t.Fatalf("key order %v", g.keys)
+	if keys := g.idx.Keys(); len(keys) != 3 || keys[0] != "b" || keys[1] != "a" || keys[2] != "c" {
+		t.Fatalf("key order %v", keys)
 	}
 	if got := g.values(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("group b = %v", got)
@@ -302,20 +303,46 @@ func TestGroupByKeyPreservesFirstSeenOrder(t *testing.T) {
 	}
 }
 
+// Node-id keys group in first-seen order too, including a negative key
+// and a sparse huge one, which take the index's map.
+func TestGroupInt64KeysFirstSeenOrder(t *testing.T) {
+	records := []KV[int64, int]{
+		{9, 1}, {1 << 40, 2}, {-3, 3}, {9, 4}, {0, 5}, {1 << 40, 6}, {-3, 7},
+	}
+	var g grouper[int64, int]
+	g.group(records)
+	if keys := g.idx.Keys(); !slices.Equal(keys, []int64{9, 1 << 40, -3, 0}) {
+		t.Fatalf("key order %v", keys)
+	}
+	for i, want := range [][]int{{1, 4}, {2, 6}, {3, 7}, {5}} {
+		if got := g.values(i); !slices.Equal(got, want) {
+			t.Fatalf("group %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // The reduce-side grouper must be allocation-free once its slabs are
-// warm: regrouping same-shape input reuses keys/offs/slab and clears the
-// id map in place (PR 7 alloc budget for the modes bench depends on it).
+// warm: regrouping same-shape input reuses its index, offs and slab (the
+// modes bench's alloc budget depends on it), on the map path (string
+// keys) and on the table path (node ids, with a negative and a sparse
+// key mixed in).
 func TestGrouperSteadyStateAllocFree(t *testing.T) {
-	records := []KV[string, int]{
+	strs := []KV[string, int]{
 		{"b", 1}, {"a", 2}, {"b", 3}, {"c", 4}, {"a", 5},
 	}
-	var g grouper[string, int]
-	g.group(records) // warm the slabs
-	allocs := testing.AllocsPerRun(100, func() {
-		g.group(records)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state grouper allocates %v allocs/run, want 0", allocs)
+	ints := []KV[int64, int]{
+		{16, 1}, {1 << 40, 2}, {-3, 3}, {16, 4}, {4000, 5}, {2, 6},
+	}
+	var gs grouper[string, int]
+	var gi grouper[int64, int]
+	for name, group := range map[string]func(){
+		"string": func() { gs.group(strs) },
+		"int64":  func() { gi.group(ints) },
+	} {
+		group() // warm the slabs
+		if allocs := testing.AllocsPerRun(100, group); allocs != 0 {
+			t.Fatalf("%s: steady-state grouper allocates %v allocs/run, want 0", name, allocs)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ package pagerank
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -37,42 +37,84 @@ import (
 // pushContributions is the shared global emission of both formulations:
 // every node pushes rank/outdeg to all of its out-links, pre-aggregated
 // per destination within the partition, emitted in ascending key order.
-// Map iteration order is randomized in Go; sorted emission keeps shuffle
-// grouping — and therefore floating-point summation order — identical
-// across runs, which keeps iteration counts bit-reproducible. The
-// accumulator map and sort buffer live on the state so successive
-// iterations reuse them (one task owns a state at a time).
+// The partition's emission plan fixes which destinations exist and where
+// each edge lands, so a push is one slice add per edge; each sum still
+// accumulates in push order, which keeps shuffle grouping — and therefore
+// floating-point summation order — identical across runs and iteration
+// counts bit-reproducible.
 func pushContributions(tc *mapreduce.TaskContext[int64, float64], st *state) {
 	sub := st.sub
-	if st.acc == nil {
-		st.acc = make(map[int64]float64, len(sub.Nodes))
-	} else {
-		clear(st.acc)
-	}
-	var ops int64
+	clear(st.acc)
+	e := 0
 	for li := range sub.Nodes {
 		deg := sub.OutDeg[li]
 		if deg == 0 {
 			continue
 		}
 		c := st.rank[li] / float64(deg)
+		n := len(sub.OutLocal[li]) + len(sub.OutRemote[li])
+		for _, d := range st.edgeDest[e : e+n] {
+			st.acc[d] += c
+		}
+		e += n
+	}
+	tc.Charge(st.pushOps)
+	for i, k := range st.dests {
+		tc.Emit(k, st.acc[i])
+	}
+}
+
+// newState builds a partition's payload with every rank at 1 (§V-B) and
+// its emission plan: the sorted distinct global ids that
+// pushContributions emits to, and, for each out-edge of a node with
+// out-links in push order (local edges, then remote, node by node), the
+// index of its destination in that list.
+func newState(sub *graph.SubGraph) *state {
+	st := &state{
+		sub:     sub,
+		rank:    make([]float64, sub.NumNodes()),
+		ghost:   make([]float64, sub.NumNodes()),
+		scratch: make([]float64, sub.NumNodes()),
+	}
+	// Number destinations in first-seen order, then renumber them by
+	// sorted position.
+	var idx mapreduce.KeyIndex[int64]
+	push := func(id int64) {
+		s, _ := idx.Slot(id)
+		st.edgeDest = append(st.edgeDest, s)
+	}
+	for li := range sub.Nodes {
+		st.rank[li] = 1
+		if sub.OutDeg[li] == 0 {
+			continue
+		}
 		for _, dst := range sub.OutLocal[li] {
-			st.acc[int64(sub.Nodes[dst])] += c
+			push(int64(sub.Nodes[dst]))
 		}
 		for _, dst := range sub.OutRemote[li] {
-			st.acc[int64(dst)] += c
+			push(int64(dst))
 		}
-		ops += int64(deg)
+		st.pushOps += int64(sub.OutDeg[li])
 	}
-	tc.Charge(ops)
-	st.accKeys = st.accKeys[:0]
-	for k := range st.acc {
-		st.accKeys = append(st.accKeys, k)
+	// Node ids are non-negative int32s, so one word holds an (id, slot)
+	// pair and sorting the words sorts the ids.
+	ids := idx.Keys()
+	pairs := make([]uint64, len(ids))
+	for s, id := range ids {
+		pairs[s] = uint64(id)<<32 | uint64(s)
 	}
-	sort.Slice(st.accKeys, func(i, j int) bool { return st.accKeys[i] < st.accKeys[j] })
-	for _, k := range st.accKeys {
-		tc.Emit(k, st.acc[k])
+	slices.Sort(pairs)
+	rank := make([]int32, len(pairs))
+	st.dests = make([]int64, len(pairs))
+	for r, p := range pairs {
+		st.dests[r] = int64(p >> 32)
+		rank[uint32(p)] = int32(r)
 	}
+	for e, s := range st.edgeDest {
+		st.edgeDest[e] = rank[s]
+	}
+	st.acc = make([]float64, len(st.dests))
+	return st
 }
 
 // Config parameterizes a PageRank run.
@@ -126,12 +168,15 @@ type state struct {
 	localDelta float64
 	// scratch receives new ranks during Apply.
 	scratch []float64
-	// acc/accKeys are pushContributions' reusable emission scratch;
-	// elems caches the (constant) lmap element list. One task owns a
-	// state at a time, so unsynchronized reuse is safe.
-	acc     map[int64]float64
-	accKeys []int64
-	elems   []int32
+	// dests, edgeDest and pushOps are the emission plan (see newState);
+	// acc is pushContributions' per-destination scratch and elems caches
+	// the (constant) lmap element list. One task owns a state at a time,
+	// so unsynchronized reuse is safe.
+	dests    []int64
+	edgeDest []int32
+	pushOps  int64
+	acc      []float64
+	elems    []int32
 }
 
 // Result of a PageRank run.
@@ -163,18 +208,11 @@ func Run(engine *mapreduce.Engine, subs []*graph.SubGraph, cfg Config, eager boo
 	outDeg := make([]int32, n)
 	states := make([]*state, len(subs))
 	for i, s := range subs {
-		st := &state{
-			sub:     s,
-			rank:    make([]float64, s.NumNodes()),
-			ghost:   make([]float64, s.NumNodes()),
-			scratch: make([]float64, s.NumNodes()),
-		}
+		states[i] = newState(s)
 		for li, u := range s.Nodes {
-			st.rank[li] = 1 // all nodes start with rank 1 (§V-B)
 			ranks[u] = 1
 			outDeg[u] = s.OutDeg[li]
 		}
-		states[i] = st
 	}
 	refreshGhosts(states, ranks, outDeg)
 
